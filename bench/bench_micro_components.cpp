@@ -3,7 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "decomp/bz.h"
-#include "decomp/park.h"
+#include "decomp/parallel_peel.h"
 #include "decomp/verify.h"
 #include "gen/generators.h"
 #include "maint/core_state.h"
@@ -41,14 +41,15 @@ void BM_BzHeapPolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_BzHeapPolicy);
 
-void BM_ParkDecompose(benchmark::State& state) {
+void BM_ParallelDecompose(benchmark::State& state) {
   const DynamicGraph& g = bench_graph();
   static ThreadTeam team(16);
   const int workers = static_cast<int>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(park_decompose(g, team, workers).size());
+    benchmark::DoNotOptimize(
+        parallel_decompose(g, team, DecomposeOptions{workers}).core.size());
 }
-BENCHMARK(BM_ParkDecompose)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_ParallelDecompose)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_GraphInsertRemove(benchmark::State& state) {
   DynamicGraph g(1000);

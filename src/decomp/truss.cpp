@@ -133,8 +133,7 @@ TrussDecomposition brute_force_truss(const DynamicGraph& g) {
   // For k = 3, 4, ...: repeatedly delete edges with < k-2 triangles in
   // the surviving subgraph; survivors have trussness >= k.
   std::vector<bool> alive(m, true);
-  // Compact arena copy (DESIGN.md §8): the peeling scratch graph starts
-  // with exact-class slabs and zero slack.
+  // The peeling scratch graph is a copy: adjacency sized to degree.
   DynamicGraph work = g;
   auto adj = sorted_adjacency(work);
   for (CoreValue k = 3;; ++k) {

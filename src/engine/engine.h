@@ -66,9 +66,8 @@ struct EngineSnapshot {
   CoreValue max_core = 0;
   std::size_t num_edges = 0;
   /// Deep copy of the graph at this epoch; null unless
-  /// Options::snapshot_graph is set. The copy compacts into a fresh
-  /// arena (a linear slab fill, not n per-vertex allocations), taken at
-  /// flush quiescence, so readers get a fully consistent structure.
+  /// Options::snapshot_graph is set. The copy is taken at flush
+  /// quiescence, so readers get a fully consistent structure.
   std::shared_ptr<const DynamicGraph> graph;
 
   CoreValue core(VertexId v) const { return view.core(v); }
@@ -112,28 +111,14 @@ struct EngineStats {
                               // coalescer pre-filters no-ops)
   std::uint64_t om_compactions = 0;        // quiescent compact_all() runs
   std::uint64_t om_groups_reclaimed = 0;   // OM groups freed by them
-  /// Conflict-aware dispatch accounting, summed over every planned
-  /// batch (insert and remove batches plan separately). All zero unless
-  /// Options::maintainer.schedule == ScheduleMode::kPlan.
-  struct PlanAggregate {
-    std::uint64_t batches = 0;         // planned batches executed
-    std::uint64_t buckets = 0;         // summed distinct affected levels
-    std::uint64_t waves = 0;           // summed conflict-free waves
-    std::uint64_t overflow_edges = 0;  // edges past max_waves (hubs)
-    std::uint64_t presorted = 0;       // batches where the coalescer's
-                                       // pre-bucketing skipped the sort
-    std::uint64_t steals = 0;          // chunks run by a non-owner
-  };
-  PlanAggregate plan;
   /// Per-phase wall time summed over every flush, microseconds. The
-  /// nine phases partition each flush window (obs/trace.h FlushSpan),
+  /// phases partition each flush window (obs/trace.h FlushSpan),
   /// so their sums track `flush_us`'s total up to per-flush rounding.
   /// wal_us / checkpoint_us stay 0 unless durability is enabled.
   struct PhaseTotals {
     std::uint64_t drain_us = 0;
     std::uint64_t coalesce_us = 0;
     std::uint64_t wal_us = 0;
-    std::uint64_t plan_us = 0;
     std::uint64_t apply_us = 0;
     std::uint64_t om_compact_us = 0;
     std::uint64_t publish_us = 0;
@@ -233,8 +218,8 @@ class StreamingEngine {
     /// (OrderList::compact over all levels). 0 disables compaction —
     /// quarantined groups then leak for the engine's lifetime.
     std::size_t om_compact_interval = 64;
-    /// Publish a deep graph copy with every epoch snapshot (compact
-    /// arena copy; costs one arena fill per flush).
+    /// Publish a deep graph copy with every epoch snapshot (costs one
+    /// O(n + m) copy per flush).
     bool snapshot_graph = false;
     /// Cores per copy-on-write snapshot page (rounded to a power of
     /// two in [64, 1M]). Smaller pages clone fewer bytes per changed
@@ -476,7 +461,6 @@ class StreamingEngine {
     obs::Counter* om_reclaimed = nullptr;
     obs::Counter* worker_busy_us = nullptr;
     obs::Counter* worker_idle_us = nullptr;
-    obs::Counter* steal_chunks = nullptr;
     obs::Gauge* epoch = nullptr;
     obs::Gauge* threshold = nullptr;
     obs::Histogram* flush_us = nullptr;

@@ -1,115 +1,93 @@
 // Dynamic undirected graph over a fixed-capacity vertex set.
 //
-// Adjacency is stored as flat arrays per vertex ("our method uses
+// Adjacency is stored as plain arrays per vertex ("our method uses
 // arrays to store edges", paper §6.3) — removal scans the adjacency
 // list, which is exactly the O(deg) cost the paper attributes to OurR
-// versus the tree-based JE storage.
+// versus the tree-based JE storage. Removal swap-erases in place and
+// never shrinks, so a vertex's steady-state insert/remove churn stops
+// allocating once its array has reached its peak degree.
 //
-// Storage layout (DESIGN.md §8): one 32-byte VertexRec per vertex in a
-// contiguous header array. Degrees <= 4 live inline in the record; a
-// larger adjacency lives in a power-of-two slab carved from the
-// arena-backed SlabStore (graph/slab_store.h). Growth doubles the
-// capacity by relocating into the next size class under the vertex
-// lock; removal swap-erases in place and never shrinks, so the
-// steady-state insert/remove hot path performs no allocation at all.
-//
-// Thread-safety contract (unchanged from the vector<vector> layout):
-// DynamicGraph performs no per-vertex synchronisation. The maintainers
-// mutate an edge (u,v) only while holding the vertex locks of BOTH u
-// and v, and read adj(w) — including the span from neighbors() — only
-// while holding w's lock (or at quiescence), which makes all accesses,
-// including grow-relocations, race-free by construction. Slab
-// allocation itself is internally sharded and thread-safe.
+// Thread-safety contract: DynamicGraph performs no per-vertex
+// synchronisation. The maintainers mutate an edge (u,v) only while
+// holding the vertex locks of BOTH u and v, and read adj(w) — including
+// the span from neighbors() — only while holding w's lock (or at
+// quiescence), which makes all accesses, including the reallocation of
+// a growing adjacency array, race-free by construction.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "graph/slab_store.h"
 #include "support/types.h"
 
 namespace parcore {
 
 /// Memory accounting for the adjacency storage (surfaced by
-/// `parcore_cli stats`, the engine stats, and bench_storage).
+/// `parcore_cli stats` and the engine stats).
 struct GraphMemoryStats {
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
-  std::size_t header_bytes = 0;         // VertexRec array
-  std::size_t arena_reserved_bytes = 0; // chunks + jumbos held by the store
-  std::size_t slab_used_bytes = 0;      // degree entries living out of line
-  std::size_t slab_capacity_bytes = 0;  // capacity of live slabs
-  std::size_t freelist_bytes = 0;       // recycled slabs awaiting reuse
-  std::size_t inline_vertices = 0;      // adjacency resident in the header
-  std::size_t chunk_count = 0;
+  std::size_t header_bytes = 0;     // per-vertex array headers
+  std::size_t adjacency_bytes = 0;  // capacity of the adjacency arrays
 
   /// Total heap footprint of the adjacency structure.
-  std::size_t total_bytes() const { return header_bytes + arena_reserved_bytes; }
-  /// Fraction of vertices whose adjacency needs no slab at all.
-  double inline_fraction() const {
-    return num_vertices == 0
-               ? 0.0
-               : static_cast<double>(inline_vertices) /
-                     static_cast<double>(num_vertices);
-  }
-  /// Fraction of reserved arena bytes not holding live degree entries
-  /// (size-class rounding + free lists + abandoned chunk tails).
-  double slack_fraction() const {
-    return arena_reserved_bytes == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(slab_used_bytes) /
-                           static_cast<double>(arena_reserved_bytes);
-  }
+  std::size_t total_bytes() const { return header_bytes + adjacency_bytes; }
 };
 
 class DynamicGraph {
  public:
-  /// Degree at which adjacency spills from the header into a slab.
-  static constexpr std::uint32_t kInlineDegree = 4;
-
-  DynamicGraph() : DynamicGraph(0) {}
-  explicit DynamicGraph(std::size_t n, SlabStore::Options store_opts = {});
+  DynamicGraph() = default;
+  explicit DynamicGraph(std::size_t n) : adj_(n) {}
 
   // Copy/move are explicit because of the atomic edge counter; they are
-  // only meaningful at quiescence (no concurrent mutators). Copying
-  // rebuilds compactly: exact-class slabs laid out linearly in a fresh
-  // arena, dropping accumulated growth slack — this is what makes the
-  // engine's epoch graph snapshots a linear arena fill rather than n
-  // heap allocations.
-  DynamicGraph(const DynamicGraph& other);
-  DynamicGraph& operator=(const DynamicGraph& other);
-  DynamicGraph(DynamicGraph&& other) noexcept;
-  DynamicGraph& operator=(DynamicGraph&& other) noexcept;
+  // only meaningful at quiescence (no concurrent mutators). A copy sizes
+  // every adjacency array to its degree, dropping growth slack.
+  DynamicGraph(const DynamicGraph& other)
+      : adj_(other.adj_), num_edges_(other.num_edges()) {}
+  DynamicGraph& operator=(const DynamicGraph& other) {
+    adj_ = other.adj_;
+    num_edges_.store(other.num_edges(), std::memory_order_relaxed);
+    return *this;
+  }
+  DynamicGraph(DynamicGraph&& other) noexcept
+      : adj_(std::move(other.adj_)), num_edges_(other.num_edges()) {
+    other.adj_.clear();
+    other.num_edges_.store(0, std::memory_order_relaxed);
+  }
+  DynamicGraph& operator=(DynamicGraph&& other) noexcept {
+    adj_ = std::move(other.adj_);
+    num_edges_.store(other.num_edges(), std::memory_order_relaxed);
+    other.adj_.clear();
+    other.num_edges_.store(0, std::memory_order_relaxed);
+    return *this;
+  }
 
   /// Builds a graph from an edge list, dropping self-loops and duplicate
-  /// edges (paper §6.2 preprocessing). Exact-degree preallocation: one
-  /// counting pass sizes every vertex before any adjacency is written,
-  /// so the build performs no relocations.
-  static DynamicGraph from_edges(std::size_t n, std::span<const Edge> edges,
-                                 SlabStore::Options store_opts = {});
+  /// edges (paper §6.2 preprocessing). A counting pass reserves every
+  /// vertex's exact degree before any adjacency is written, so the fill
+  /// never reallocates.
+  static DynamicGraph from_edges(std::size_t n, std::span<const Edge> edges);
 
-  std::size_t num_vertices() const { return verts_.size(); }
+  std::size_t num_vertices() const { return adj_.size(); }
   std::size_t num_edges() const {
     return num_edges_.load(std::memory_order_relaxed);
   }
 
   /// Grows the vertex set to at least n vertices (no-op if smaller).
-  /// Quiescent only: resizing may reallocate the whole header array,
-  /// which invalidates neighbors() spans of inline (degree <= 4)
-  /// vertices — a hazard the old vector<vector> layout did not have.
+  /// Quiescent only: growing reallocates the array of per-vertex
+  /// headers. The adjacency arrays themselves move with their headers,
+  /// so neighbors() spans taken before the call stay valid.
   void add_vertices(std::size_t n) {
-    if (n > verts_.size()) verts_.resize(n);
+    if (n > adj_.size()) adj_.resize(n);
   }
 
   std::span<const VertexId> neighbors(VertexId u) const {
-    const VertexRec& r = verts_[u];
-    return {r.slab != nullptr ? r.slab : r.inline_storage, r.degree};
+    return {adj_[u].data(), adj_[u].size()};
   }
 
-  std::size_t degree(VertexId u) const { return verts_[u].degree; }
+  std::size_t degree(VertexId u) const { return adj_[u].size(); }
 
   /// Scans the smaller-degree endpoint, so hub vertices cost O(min deg)
   /// on the locked insert path.
@@ -126,49 +104,24 @@ class DynamicGraph {
   /// absence (used under vertex locks where has_edge was just called).
   void insert_edge_unchecked(VertexId u, VertexId v);
 
-  /// Pre-sizes u's adjacency for at least `capacity` entries (rounded to
-  /// inline or the next slab class). Quiescent or u-locked only; used by
-  /// bulk loaders so the fill phase never relocates.
-  void reserve_degree(VertexId u, std::size_t capacity);
-
   std::size_t max_degree() const;
   double average_degree() const {  // paper Table 2 definition: m / n
-    return verts_.empty() ? 0.0
-                          : static_cast<double>(num_edges()) /
-                                static_cast<double>(verts_.size());
+    return adj_.empty() ? 0.0
+                        : static_cast<double>(num_edges()) /
+                              static_cast<double>(adj_.size());
   }
 
   /// All edges with u < v, in adjacency order.
   std::vector<Edge> edges() const;
 
-  /// Adjacency-storage accounting. The per-vertex scan is O(n); the
-  /// arena counters are O(shards). Quiescent only.
+  /// Adjacency-storage accounting: an O(n) scan. Quiescent only.
   GraphMemoryStats memory_stats() const;
 
  private:
-  struct VertexRec {
-    std::uint32_t degree = 0;
-    std::uint32_t capacity = kInlineDegree;
-    VertexId* slab = nullptr;  // nullptr → adjacency in inline_storage
-    VertexId inline_storage[kInlineDegree];
-  };
-  static_assert(sizeof(VertexRec) == 32, "two vertex headers per cache line");
+  static bool erase_from(std::vector<VertexId>& list, VertexId x);
 
-  static VertexId* data(VertexRec& r) {
-    return r.slab != nullptr ? r.slab : r.inline_storage;
-  }
-  static const VertexId* data(const VertexRec& r) {
-    return r.slab != nullptr ? r.slab : r.inline_storage;
-  }
-
-  void append(VertexId u, VertexId v);
-  bool erase_from(VertexId u, VertexId x);
-  void grow(VertexId u, std::size_t min_capacity);
-  void assign_compact_from(const DynamicGraph& other);
-
-  std::vector<VertexRec> verts_;
-  SlabStore store_;
-  // Adjacency slabs are guarded by the maintainers' vertex locks; the
+  std::vector<std::vector<VertexId>> adj_;
+  // Adjacency lists are guarded by the maintainers' vertex locks; the
   // shared edge counter is touched by all workers, so it is atomic.
   std::atomic<std::size_t> num_edges_{0};
 };

@@ -243,7 +243,7 @@ GraphData read_graph(const std::string& path, const ReadOptions& opts) {
 DynamicGraph to_dynamic_graph(const GraphData& data) {
   // from_edges preallocates every vertex to its exact degree in one
   // counting pass, so .pcg loads (and every other format) build the
-  // adjacency with zero slab relocations.
+  // adjacency without reallocation.
   std::vector<Edge> edges = static_edges(data);
   return DynamicGraph::from_edges(data.num_vertices, edges);
 }

@@ -108,7 +108,6 @@ void CoreState::initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
 
   DecomposeOptions dopts;
   dopts.workers = workers;
-  dopts.mode = DecomposeMode::kExact;
   BulkDecomposition d = parallel_decompose(g, team, dopts);
   max_core_.store(d.max_core, std::memory_order_relaxed);
 

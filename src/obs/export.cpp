@@ -117,7 +117,6 @@ std::string trace_json_line(const FlushSpan& s) {
   field("workers", s.workers);
   field("worker_busy_us", s.worker_busy_us);
   field("worker_idle_us", s.worker_idle_us);
-  field("steal_chunks", s.steal_chunks);
   out += '}';
   return out;
 }

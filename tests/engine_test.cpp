@@ -249,9 +249,9 @@ TEST(Engine, SnapshotGraphCopiesCompactArena) {
   // The epoch-0 copy is immutable: it still shows the pre-flush state.
   EXPECT_EQ(epoch0->graph->num_edges(), w.base.size());
   EXPECT_EQ(epoch1->graph->num_edges(), g.num_edges());
-  // The copy is compact: no free-list residue, no growth slack beyond
-  // size-class rounding.
-  EXPECT_EQ(epoch1->graph->memory_stats().freelist_bytes, 0u);
+  // The copy is compact: every adjacency array sized to its degree.
+  EXPECT_EQ(epoch1->graph->memory_stats().adjacency_bytes,
+            2 * epoch1->graph->num_edges() * sizeof(VertexId));
 }
 
 TEST(Engine, SnapshotGraphOffByDefault) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
+#include <vector>
 
 #include "graph/dynamic_graph.h"
 #include "graph/edge_list.h"
@@ -79,6 +81,133 @@ TEST(DynamicGraph, AddVerticesGrows) {
   EXPECT_TRUE(g.insert_edge(3, 4));
   g.add_vertices(3);  // shrink request ignored
   EXPECT_EQ(g.num_vertices(), 5u);
+}
+
+TEST(DynamicGraph, CopyAndAssignAreIndependent) {
+  DynamicGraph g(64);
+  for (VertexId u = 0; u < 64; ++u)
+    for (VertexId v = u + 1; v < 64; v += 3) g.insert_edge(u, v);
+  const std::vector<Edge> before = g.edges();
+
+  DynamicGraph copy(g);
+  DynamicGraph assigned(1);
+  assigned = g;
+  EXPECT_EQ(copy.num_edges(), g.num_edges());
+  EXPECT_EQ(copy.edges(), before);
+  EXPECT_EQ(assigned.edges(), before);
+
+  // Mutating the original leaves both copies untouched, and vice versa.
+  ASSERT_TRUE(g.remove_edge(0, 1));
+  ASSERT_TRUE(g.insert_edge(0, 2));
+  EXPECT_EQ(copy.edges(), before);
+  EXPECT_EQ(assigned.edges(), before);
+  ASSERT_TRUE(copy.remove_edge(1, 2));
+  EXPECT_TRUE(assigned.has_edge(1, 2));
+  EXPECT_TRUE(g.has_edge(1, 2));
+}
+
+TEST(DynamicGraph, MoveTransfersAdjacency) {
+  DynamicGraph g(16);
+  for (VertexId v = 1; v < 16; ++v) g.insert_edge(0, v);
+  const std::vector<Edge> before = g.edges();
+  DynamicGraph moved(std::move(g));
+  EXPECT_EQ(moved.edges(), before);
+  EXPECT_EQ(moved.degree(0), 15u);
+  DynamicGraph target(1);
+  target = std::move(moved);
+  EXPECT_EQ(target.edges(), before);
+  EXPECT_EQ(target.num_edges(), 15u);
+}
+
+TEST(DynamicGraph, FromEdgesMatchesIncrementalBuild) {
+  Rng rng(0xfeed);
+  std::vector<Edge> edges;
+  const std::size_t n = 300;
+  for (int i = 0; i < 2000; ++i)
+    edges.push_back(Edge{static_cast<VertexId>(rng.next() % n),
+                         static_cast<VertexId>(rng.next() % n)});
+  DynamicGraph bulk = DynamicGraph::from_edges(n, edges);
+  DynamicGraph inc(n);
+  for (const Edge& e : edges) inc.insert_edge(e.u, e.v);
+  EXPECT_EQ(bulk.num_edges(), inc.num_edges());
+  std::vector<Edge> be = bulk.edges(), ie = inc.edges();
+  auto key = [](const Edge& a, const Edge& b) {
+    return edge_key(a) < edge_key(b);
+  };
+  std::sort(be.begin(), be.end(), key);
+  std::sort(ie.begin(), ie.end(), key);
+  EXPECT_EQ(be, ie);
+}
+
+TEST(DynamicGraph, FromEdgesReservesExactDegree) {
+  // Duplicate-free input: the counting pass reserves exactly each
+  // vertex's degree, so the adjacency holds no growth slack.
+  auto g = test::make_graph(5, {{0, 1}, {0, 2}, {0, 3}, {3, 4}});
+  const GraphMemoryStats m = g.memory_stats();
+  EXPECT_EQ(m.num_vertices, 5u);
+  EXPECT_EQ(m.num_edges, 4u);
+  EXPECT_EQ(m.adjacency_bytes, 2 * 4 * sizeof(VertexId));
+  EXPECT_GT(m.header_bytes, 0u);
+  EXPECT_EQ(m.total_bytes(), m.header_bytes + m.adjacency_bytes);
+}
+
+TEST(DynamicGraph, HubHasEdgeScansSmallEndpoint) {
+  // Correctness guard for the smaller-degree scan: a hub with a large
+  // adjacency vs leaves of degree 1, probed in both argument orders.
+  const std::size_t n = 4000;
+  DynamicGraph g(n);
+  for (VertexId v = 1; v < n; ++v) g.insert_edge(0, v);
+  EXPECT_TRUE(g.has_edge(0, 1234));
+  EXPECT_TRUE(g.has_edge(1234, 0));
+  EXPECT_FALSE(g.has_edge(1234, 4321 % n));
+  EXPECT_FALSE(g.insert_edge(0, 1234));  // duplicate via the hub path
+  EXPECT_EQ(g.num_edges(), n - 1);
+}
+
+TEST(DynamicGraph, FuzzAgainstSetReference) {
+  // 50k random insert/remove/probe ops over a small universe (heavy
+  // edge churn) against a std::set of canonical edge keys.
+  const std::size_t n = 180;
+  const int kOps = 50000;
+  DynamicGraph g(n);
+  std::set<std::uint64_t> ref;
+  Rng rng(0xb16c4);
+
+  for (int op = 0; op < kOps; ++op) {
+    const auto u = static_cast<VertexId>(rng.next() % n);
+    const auto v = static_cast<VertexId>(rng.next() % n);
+    const std::uint64_t key = edge_key(canonical(Edge{u, v}));
+    switch (rng.next() % 3) {
+      case 0: {  // insert
+        const bool want = u != v && ref.find(key) == ref.end();
+        ASSERT_EQ(g.insert_edge(u, v), want) << "op " << op;
+        if (want) ref.insert(key);
+        break;
+      }
+      case 1: {  // remove
+        const bool want = ref.erase(key) > 0;
+        ASSERT_EQ(g.remove_edge(u, v), want) << "op " << op;
+        break;
+      }
+      default: {  // membership probe, both orders
+        const bool want = ref.find(key) != ref.end();
+        ASSERT_EQ(g.has_edge(u, v), want) << "op " << op;
+        ASSERT_EQ(g.has_edge(v, u), want) << "op " << op;
+        break;
+      }
+    }
+    ASSERT_EQ(g.num_edges(), ref.size()) << "op " << op;
+  }
+
+  // Full structural audit at the end: exact edge set and degrees.
+  std::vector<Edge> got = g.edges();
+  ASSERT_EQ(got.size(), ref.size());
+  for (const Edge& e : got) ASSERT_TRUE(ref.count(edge_key(e)) > 0);
+  std::size_t degree_sum = 0;
+  for (VertexId v = 0; v < n; ++v) degree_sum += g.degree(v);
+  ASSERT_EQ(degree_sum, 2 * ref.size());
+  const GraphMemoryStats m = g.memory_stats();
+  EXPECT_GE(m.adjacency_bytes, degree_sum * sizeof(VertexId));
 }
 
 TEST(EdgeList, CanonicalizeDropsBadEdges) {

@@ -462,6 +462,18 @@ TEST(Cli, UsageErrors) {
   EXPECT_EQ(cli::cli_main(
                 {"decompose", "--input", "/nonexistent/parcore.txt"}),
             1);
+  // Removed decompositions, schedules and verify oracles are usage
+  // errors, not silent fallbacks: each would otherwise run (exit 0/1).
+  const std::string toy = fixture("toy.txt");
+  EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "approx"}),
+            2);
+  EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "park"}), 2);
+  EXPECT_EQ(
+      cli::cli_main({"decompose", "--input", toy, "--max-rounds", "3"}), 2);
+  EXPECT_EQ(cli::cli_main({"serve", "--input", fixture("toy_temporal.txt"),
+                           "--plan"}),
+            2);
+  EXPECT_EQ(cli::cli_main({"recover", "--dir", "x", "--verify", "approx"}), 2);
 }
 
 TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {

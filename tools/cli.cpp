@@ -19,7 +19,6 @@
 #include "decomp/bz.h"
 #include "decomp/core_query.h"
 #include "decomp/parallel_peel.h"
-#include "decomp/park.h"
 #include "durability/recovery.h"
 #include "engine/engine.h"
 #include "gen/generators.h"
@@ -69,7 +68,7 @@ constexpr const char* kGlobalUsage = R"(parcore_cli - core maintenance over real
 usage: parcore_cli <command> [options]
 
 commands:
-  decompose   static core decomposition of a dataset (BZ or ParK)
+  decompose   static core decomposition of a dataset (BZ or parallel peel)
   maintain    sliding-window batch maintenance (parallel/seq/traversal/je)
   serve       drive the streaming engine from a temporal update file
   bench       engine-throughput benchmark on a dataset (emits BENCH_*.json)
@@ -217,13 +216,10 @@ constexpr const char* kDecomposeUsage =
 Static core decomposition with a load/decompose time breakdown.
 
   --input FILE   dataset (edge list / .mtx / .pcg; docs/FORMATS.md)
-  --algo NAME    bz (sequential, default), park (parallel, cores only),
-                 parallel (parallel exact peel, also derives a k-order)
-                 or approx (h-index iteration; --max-rounds caps it to
-                 a fast upper bound, 0 iterates to the exact fixpoint)
-  --workers N    worker threads for park/parallel/approx (default 8,
-                 or PARCORE_DECOMPOSE_WORKERS when set)
-  --max-rounds N approx round cap (default 0 = run to fixpoint)
+  --algo NAME    bz (sequential, default) or parallel (parallel exact
+                 peel, also derives a k-order)
+  --workers N    worker threads for parallel (default 8, or
+                 PARCORE_DECOMPOSE_WORKERS when set)
   --top K        print the K highest-coreness vertices (original ids)
   --histogram    print the core-value distribution
 )";
@@ -232,8 +228,7 @@ int cmd_decompose(const Args& args) {
   const std::string input = args.get("input");
   if (input.empty()) return usage_error(kDecomposeUsage, "--input is required");
   const std::string algo = args.get("algo", "bz");
-  if (algo != "bz" && algo != "park" && algo != "parallel" &&
-      algo != "approx")
+  if (algo != "bz" && algo != "parallel")
     return usage_error(kDecomposeUsage, "unknown --algo '" + algo + "'");
 
   WallTimer load_timer;
@@ -247,21 +242,13 @@ int cmd_decompose(const Args& args) {
   WallTimer decomp_timer;
   std::vector<CoreValue> cores;
   std::string note;
-  if (algo == "park") {
+  if (algo == "parallel") {
     ThreadTeam team(workers);
-    cores = park_decompose(g, team, workers);
-  } else if (algo == "parallel" || algo == "approx") {
-    ThreadTeam team(workers);
-    DecomposeOptions dopts;
-    dopts.workers = workers;
-    dopts.mode =
-        algo == "approx" ? DecomposeMode::kApprox : DecomposeMode::kExact;
-    dopts.max_rounds = static_cast<int>(args.get_int("max-rounds", 0));
-    const BulkDecomposition bd = parallel_decompose(g, team, dopts);
+    const BulkDecomposition bd =
+        parallel_decompose(g, team, DecomposeOptions{workers});
     cores = bd.core;
     note = " (" + std::to_string(workers) + " workers, " +
-           std::to_string(bd.rounds) + " rounds" +
-           (bd.exact ? "" : ", capped: upper bound only") + ")";
+           std::to_string(bd.rounds) + " rounds)";
   } else {
     cores = bz_decompose(g).core;
   }
@@ -384,8 +371,6 @@ the batch that slides out of the window once it is full.
   --window N     live-edge window (default: half the dataset)
   --batch B      edges per step (default 1000)
   --workers W    parallel/je workers per batch (default 8)
-  --plan         conflict-aware wave scheduling (parallel algo only;
-                 DESIGN.md §9)
   --steps S      stop after S steps (default: until exhausted)
   --verify       recompute cores from scratch at the end and compare
 )";
@@ -421,20 +406,15 @@ int cmd_maintain(const Args& args) {
   DynamicGraph g = DynamicGraph::from_edges(
       data.num_vertices, std::vector<Edge>(live.begin(), live.end()));
 
-  if (args.has("plan") && algo != "parallel")
-    throw UsageError("--plan requires --algo parallel");
-
   // Only the selected maintainer is constructed: each constructor runs a
   // full decomposition, and the non-JE ones take over `g`.
   ThreadTeam team(std::max(workers, 1));
-  ParallelOrderMaintainer::Options par_opts;
-  if (args.has("plan")) par_opts.schedule = ScheduleMode::kPlan;
   std::unique_ptr<ParallelOrderMaintainer> par;
   std::unique_ptr<SeqOrderMaintainer> seq;
   std::unique_ptr<TraversalMaintainer> trav;
   std::unique_ptr<JeMaintainer> je;
   if (algo == "parallel")
-    par = std::make_unique<ParallelOrderMaintainer>(g, team, par_opts);
+    par = std::make_unique<ParallelOrderMaintainer>(g, team);
   else if (algo == "seq") seq = std::make_unique<SeqOrderMaintainer>(g);
   else if (algo == "traversal") trav = std::make_unique<TraversalMaintainer>(g);
   else je = std::make_unique<JeMaintainer>(g, team);
@@ -516,10 +496,9 @@ constexpr const char* kStatsUsage =
     R"(usage: parcore_cli stats --input FILE
        parcore_cli stats --live PORT
 
-Loads a dataset, materialises the slab-backed adjacency structure, and
-prints the degree distribution (power-of-two buckets) plus the memory
-footprint breakdown from DynamicGraph::memory_stats() — arena bytes,
-slab slack, and the fraction of vertices stored inline.
+Loads a dataset, materialises the adjacency structure, and prints the
+degree distribution (power-of-two buckets) plus the memory footprint
+from DynamicGraph::memory_stats() — vertex headers and adjacency arrays.
 
   --input FILE   dataset (edge list / .mtx / .pcg; docs/FORMATS.md)
   --live PORT    instead of loading a dataset, fetch and print the live
@@ -593,18 +572,12 @@ int cmd_stats(const Args& args) {
   const GraphMemoryStats mem = g.memory_stats();
   Table t({"memory", "bytes", "detail"});
   t.add_row({"vertex headers", std::to_string(mem.header_bytes),
-             "32 B x " + std::to_string(mem.num_vertices)});
-  t.add_row({"arena reserved", std::to_string(mem.arena_reserved_bytes),
-             std::to_string(mem.chunk_count) + " chunks"});
-  t.add_row({"slabs in use", std::to_string(mem.slab_used_bytes),
-             "capacity " + std::to_string(mem.slab_capacity_bytes)});
-  t.add_row({"free lists", std::to_string(mem.freelist_bytes), ""});
+             std::to_string(mem.num_vertices) + " vertices"});
+  t.add_row({"adjacency", std::to_string(mem.adjacency_bytes),
+             std::to_string(2 * mem.num_edges) + " entries"});
   t.add_row({"total", std::to_string(mem.total_bytes()),
              fmt(static_cast<double>(mem.total_bytes()) / 1e6, 1) + " MB"});
   t.print();
-  std::printf("inline vertices: %zu (%.1f%%), arena slack %.1f%%\n",
-              mem.inline_vertices, 100.0 * mem.inline_fraction(),
-              100.0 * mem.slack_fraction());
   return 0;
 }
 
@@ -624,8 +597,6 @@ is checked against a fresh bz_decompose unless --no-verify.
                   (point reads + periodic core summaries) while the
                   producers run (default 0)
   --workers W     maintainer workers per flush (default: engine default)
-  --plan          conflict-aware wave scheduling per flush; prints the
-                  per-flush plan stats (buckets, waves, steals)
   --repeat R      replay the stream R times (default 1; load amplifier)
   --no-verify     skip the final bz_decompose comparison
   --metrics-port P  serve live metrics over HTTP on 127.0.0.1:P while
@@ -633,7 +604,7 @@ is checked against a fresh bz_decompose unless --no-verify.
                   /metrics is Prometheus text exposition, /summary the
                   human-readable summary (`stats --live P` fetches it)
   --trace-out FILE  stream one JSON line per flush (the FlushSpan
-                  schema: per-phase timings, worker busy/idle/steals;
+                  schema: per-phase timings, worker busy/idle;
                   docs/OBSERVABILITY.md)
   --checkpoint-dir DIR  enable durability (docs/DURABILITY.md): write
                   epoch checkpoints + an op WAL into DIR. The directory
@@ -697,7 +668,6 @@ int cmd_serve(const Args& args) {
   engine::StreamingEngine::Options opts = engine::options_from_env();
   if (args.has("workers"))
     opts.workers = static_cast<int>(args.get_positive("workers", opts.workers));
-  if (args.has("plan")) opts.maintainer.schedule = ScheduleMode::kPlan;
   if (args.has("checkpoint-dir"))
     opts.durability.dir = args.get("checkpoint-dir");
   if (args.has("checkpoint-interval")) {
@@ -877,21 +847,20 @@ int cmd_serve(const Args& args) {
     const engine::EngineStats::PhaseTotals& ph = stats.phases;
     const double total_ms =
         static_cast<double>(ph.repair_us + ph.drain_us + ph.coalesce_us +
-                            ph.wal_us + ph.plan_us + ph.apply_us +
+                            ph.wal_us + ph.apply_us +
                             ph.om_compact_us + ph.publish_us +
                             ph.checkpoint_us) /
         1000.0;
     std::printf(
         "  phases (ms, all flushes): repair %.1f, drain %.1f, "
         "coalesce %.1f, wal %.1f, "
-        "plan %.1f, apply %.1f, om-compact %.1f, publish %.1f, "
+        "apply %.1f, om-compact %.1f, publish %.1f, "
         "checkpoint %.1f (sum %.1f)\n"
         "  workers: busy %.1f ms, idle %.1f ms (%.0f%% utilised)\n",
         static_cast<double>(ph.repair_us) / 1000.0,
         static_cast<double>(ph.drain_us) / 1000.0,
         static_cast<double>(ph.coalesce_us) / 1000.0,
         static_cast<double>(ph.wal_us) / 1000.0,
-        static_cast<double>(ph.plan_us) / 1000.0,
         static_cast<double>(ph.apply_us) / 1000.0,
         static_cast<double>(ph.om_compact_us) / 1000.0,
         static_cast<double>(ph.publish_us) / 1000.0,
@@ -948,8 +917,8 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned long long>(stats.verify_runs),
                 static_cast<unsigned long long>(stats.verify_mismatches),
                 static_cast<unsigned long long>(stats.repairs));
-  // Arena footprint, OM reclamation, plan/steal counters and the rest
-  // of the registry all render through the shared summary exporter —
+  // OM reclamation, worker busy/idle counters and the rest of the
+  // registry all render through the shared summary exporter —
   // the same bytes serve's /summary endpoint and `stats --live` return.
   print_metrics_summary(stdout);
 
@@ -1007,8 +976,7 @@ core numbers against a fresh decomposition of the replayed graph.
   --workers W    maintainer workers for the WAL replay, also used by the
                  parallel verify oracles (default 4)
   --verify MODE  verify oracle: parallel (exact peel, default), bz
-                 (sequential), approx (capped h-index upper-bound
-                 screen), or off. PARCORE_DECOMPOSE_MODE sets the
+                 (sequential), or off. PARCORE_DECOMPOSE_MODE sets the
                  default; --no-verify is shorthand for --verify off
   --no-verify    skip the cross-check entirely
 
@@ -1033,8 +1001,6 @@ int cmd_recover(const Args& args) {
     ropts.verify_algo = durability::VerifyAlgo::kBz;
   else if (verify_mode == "parallel")
     ropts.verify_algo = durability::VerifyAlgo::kParallel;
-  else if (verify_mode == "approx")
-    ropts.verify_algo = durability::VerifyAlgo::kApprox;
   else
     return usage_error(kRecoverUsage,
                        "unknown --verify mode '" + verify_mode + "'");
@@ -1060,10 +1026,8 @@ int cmd_recover(const Args& args) {
       static_cast<unsigned long long>(res.final_epoch));
   if (res.verified)
     std::printf("verified: recovered cores match a fresh %s decomposition "
-                "of the replayed graph%s (%.1f ms)\n",
-                res.verify_algo,
-                res.verify_exact ? "" : " (upper-bound screen only)",
-                res.verify_ms);
+                "of the replayed graph (%.1f ms)\n",
+                res.verify_algo, res.verify_ms);
   else
     std::printf("verification skipped (--verify off)\n");
   return 0;
@@ -1081,7 +1045,6 @@ producers x workers cells).
   --input FILE   dataset (edge list / .mtx / .pcg)
   --name NAME    output BENCH_<NAME>.json (default "engine_file")
   --ops N        total updates to stream (default 200000; FAST 20000)
-  --plan         conflict-aware wave scheduling in every measured cell
 
 Honours PARCORE_BENCH_FAST / _MAX_WORKERS / _JSON_DIR (docs/CONFIG.md).
 )";
@@ -1132,8 +1095,6 @@ int cmd_bench(const Args& args) {
         opts.flush_threshold = policy.threshold;
         opts.adaptive = policy.adaptive;
         opts.flush_interval_ms = 2.0;
-        if (args.has("plan"))
-          opts.maintainer.schedule = ScheduleMode::kPlan;
         const bench::EngineCellResult r = bench::run_engine_cell(
             data.num_vertices, base, streams, team, opts);
         table.add_row(
@@ -1158,7 +1119,6 @@ int cmd_bench(const Args& args) {
                             .set("base_edges", std::uint64_t{base.size()})
                             .set("ops_total", std::uint64_t{ops_total})
                             .set("scale", 1.0)
-                            .set("plan", args.has("plan"))
                             .set("rows", rows);
   if (bench::write_bench_json(name, payload).empty()) return 1;
   return 0;
@@ -1182,20 +1142,20 @@ int cli_main(const std::vector<std::string>& args) {
   };
   static const std::vector<Command> commands{
       {"decompose", kDecomposeUsage,
-       {"input", "algo", "workers", "max-rounds", "top"}, {"histogram"},
+       {"input", "algo", "workers", "top"}, {"histogram"},
        cmd_decompose},
       {"convert", kConvertUsage, {"input", "output"}, {}, cmd_convert},
       {"maintain", kMaintainUsage,
        {"input", "algo", "window", "batch", "workers", "steps"},
-       {"verify", "plan"}, cmd_maintain},
+       {"verify"}, cmd_maintain},
       {"serve", kServeUsage,
        {"input", "producers", "readers", "workers", "repeat", "metrics-port",
         "trace-out", "checkpoint-dir", "checkpoint-interval", "reverify",
         "ingest-cap", "overload"},
-       {"no-verify", "plan"}, cmd_serve},
+       {"no-verify"}, cmd_serve},
       {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {"no-verify"},
        cmd_recover},
-      {"bench", kBenchUsage, {"input", "name", "ops"}, {"plan"}, cmd_bench},
+      {"bench", kBenchUsage, {"input", "name", "ops"}, {}, cmd_bench},
       {"stats", kStatsUsage, {"input", "live"}, {}, cmd_stats},
   };
 

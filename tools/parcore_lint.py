@@ -68,8 +68,8 @@ BARE_LOCK_ALLOWLIST = {
 
 # Thread-sharded struct names that must be alignas(64). Project
 # convention: these names are reserved for per-thread/per-shard slots
-# (obs counter cells, ingest/slab shards). Other padded types exist
-# (WorkerCtx, plan Cursor) but are not counter arrays; keep the list
+# (obs metric cells and shards, ingest shards). Other padded types (the
+# maintainer's WorkerCtx) exist but are not counter arrays; keep the list
 # tight so single-instance stats structs (durability Totals) don't
 # trip it.
 SHARDED_STRUCT_NAMES = ("Shard", "Cell")
