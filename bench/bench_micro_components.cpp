@@ -3,13 +3,11 @@
 #include <benchmark/benchmark.h>
 
 #include "decomp/bz.h"
-#include "decomp/parallel_peel.h"
 #include "decomp/verify.h"
 #include "gen/generators.h"
 #include "maint/core_state.h"
 #include "parallel/korder_heap.h"
 #include "support/vertex_set.h"
-#include "sync/thread_team.h"
 
 namespace {
 
@@ -40,16 +38,6 @@ void BM_BzHeapPolicy(benchmark::State& state) {
         bz_decompose_with_policy(g, PeelTie::kSmallDegreeFirst).max_core);
 }
 BENCHMARK(BM_BzHeapPolicy);
-
-void BM_ParallelDecompose(benchmark::State& state) {
-  const DynamicGraph& g = bench_graph();
-  static ThreadTeam team(16);
-  const int workers = static_cast<int>(state.range(0));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        parallel_decompose(g, team, DecomposeOptions{workers}).core.size());
-}
-BENCHMARK(BM_ParallelDecompose)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_GraphInsertRemove(benchmark::State& state) {
   DynamicGraph g(1000);

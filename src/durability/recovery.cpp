@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "decomp/bz.h"
-#include "decomp/parallel_peel.h"
 #include "durability/manager.h"
 #include "durability/wal.h"
 #include "io/io_error.h"
@@ -19,29 +18,16 @@ namespace parcore::durability {
 using io::IoError;
 
 VerifyOutcome verify_recovered_cores(const DynamicGraph& g,
-                                     const std::vector<CoreValue>& cores,
-                                     VerifyAlgo algo, ThreadTeam& team,
-                                     int workers) {
+                                     const std::vector<CoreValue>& cores) {
   VerifyOutcome out;
   WallTimer timer;
-  std::vector<CoreValue> truth;
-  switch (algo) {
-    case VerifyAlgo::kBz:
-      out.algo = "bz";
-      truth = bz_decompose(g).core;
-      break;
-    case VerifyAlgo::kParallel:
-      out.algo = "parallel";
-      truth = parallel_decompose(g, team, DecomposeOptions{workers}).core;
-      break;
-  }
-
+  const std::vector<CoreValue> truth = bz_decompose(g).core;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (cores[v] == truth[v]) continue;
     if (out.mismatches == 0)
       out.first_mismatch =
           "core(" + std::to_string(v) + ") = " + std::to_string(cores[v]) +
-          " but " + out.algo + " decomposition says " +
+          " but bz_decompose says " +
           std::to_string(truth[v]);
     ++out.mismatches;
   }
@@ -131,20 +117,15 @@ std::unique_ptr<ParallelOrderMaintainer> recover(const RecoveryOptions& opts,
   res.max_core = maintainer->state().max_core();
 
   // 4. Differential oracle: a fresh decomposition of the replayed graph
-  // must agree with every recovered core number. Defaults to the
-  // parallel exact peel — identical accept/reject behavior to the BZ
-  // oracle, parallel wall time.
+  // must agree with every recovered core number.
   if (opts.verify) {
-    const int workers = opts.workers > 0 ? opts.workers : 1;
-    const VerifyOutcome vo = verify_recovered_cores(
-        graph, maintainer->cores(), opts.verify_algo, team, workers);
+    const VerifyOutcome vo =
+        verify_recovered_cores(graph, maintainer->cores());
     res.verify_ms = vo.ms;
-    res.verify_algo = vo.algo;
     if (!vo.passed)
-      throw std::runtime_error(
-          "recovery verification failed (" + std::string(vo.algo) + ", " +
-          std::to_string(vo.mismatches) + " mismatches): " +
-          vo.first_mismatch);
+      throw std::runtime_error("recovery verification failed (" +
+                               std::to_string(vo.mismatches) +
+                               " mismatches): " + vo.first_mismatch);
     res.verified = true;
   }
 

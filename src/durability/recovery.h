@@ -13,10 +13,7 @@
 //      other WAL defect fails closed with IoError — a WAL that lies
 //      about applied ops must never silently yield a wrong core index.
 //   4. Differentially verify the recovered cores against a fresh
-//      decomposition of the replayed graph (skippable for speed). The
-//      oracle defaults to the parallel exact peel (decomp/
-//      parallel_peel.h) — same accept/reject behavior as BZ, minus the
-//      sequential bottleneck on big graphs.
+//      bz_decompose of the replayed graph (skippable for speed).
 #pragma once
 
 #include <cstdint>
@@ -30,22 +27,15 @@
 
 namespace parcore::durability {
 
-/// Which oracle the differential verify (step 4) runs.
-///   kBz       — sequential BZ peel (the PR 7 behavior).
-///   kParallel — parallel exact peel on `workers` threads; identical
-///               core numbers, identical accept/reject decisions.
-enum class VerifyAlgo { kBz, kParallel };
-
 struct RecoveryOptions {
   std::string dir;
-  int workers = 4;
+  int workers = 4;  // WAL replay workers
   /// Differentially verify recovered cores against a fresh
-  /// decomposition (algorithm per verify_algo).
+  /// bz_decompose.
   bool verify = true;
   /// Maintainer options for the recovered instance (the restore image
   /// is supplied by recovery; Options::restore is overwritten).
   ParallelOrderMaintainer::Options maintainer{};
-  VerifyAlgo verify_algo = VerifyAlgo::kParallel;
 };
 
 struct RecoveryResult {
@@ -60,23 +50,18 @@ struct RecoveryResult {
   std::size_t num_edges = 0;
   CoreValue max_core = 0;
   double verify_ms = 0.0;              // step-4 wall time (0 when skipped)
-  const char* verify_algo = "";        // "bz" | "parallel"
 };
 
-/// The step-4 oracle, exposed for direct differential testing: computes
-/// a fresh decomposition of `g` with `algo` and compares `cores`
-/// against it for equality.
+/// The step-4 oracle, exposed for direct differential testing: compares
+/// `cores` against a fresh bz_decompose of `g` for equality.
 struct VerifyOutcome {
   bool passed = false;
   std::size_t mismatches = 0;
   double ms = 0.0;
-  const char* algo = "";
   std::string first_mismatch;  // diagnostic for the throw message
 };
 VerifyOutcome verify_recovered_cores(const DynamicGraph& g,
-                                     const std::vector<CoreValue>& cores,
-                                     VerifyAlgo algo, ThreadTeam& team,
-                                     int workers);
+                                     const std::vector<CoreValue>& cores);
 
 /// Rebuilds `graph` (overwritten) and returns a maintainer over it
 /// positioned at the recovered state. `graph` and `team` must outlive

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "decomp/core_query.h"
-#include "decomp/parallel_peel.h"
+#include "decomp/bz.h"
 #include "io/io_error.h"
 #include "obs/export.h"
 #include "support/env.h"
@@ -99,9 +99,8 @@ StreamingEngine::StreamingEngine(DynamicGraph& g, ThreadTeam& team,
     stats_.durability = durability_->totals();
   }
 
-  // Cold-start cost, end to end: initial decomposition (sequential BZ
-  // or the parallel peel, per Options::maintainer.init_workers) through
-  // epoch-0 publish and the initial checkpoint. init_timer_ is declared
+  // Cold-start cost, end to end: initial bz_decompose through epoch-0
+  // publish and the initial checkpoint. init_timer_ is declared
   // before maintainer_ precisely so this covers the decomposition.
   stats_.engine_init_us = init_timer_.elapsed_us();
   obs_.engine_init_us->record(stats_.engine_init_us);
@@ -234,13 +233,6 @@ void StreamingEngine::reverifier_loop() {
 }
 
 std::size_t StreamingEngine::run_reverify_once() {
-  // Private team: ThreadTeam::run is single-dispatcher, and the flush
-  // path owns the engine's team — the re-verifier must never contend
-  // for it (that would stall flushes for the length of a full
-  // decomposition, the opposite of "background").
-  const int workers = std::max(1, opts_.workers);
-  ThreadTeam team(workers);
-
   // A consistent (graph, snapshot) pair: the graph only mutates under
   // flush_mu_ and every flush publishes before releasing it, so a
   // copy taken under the lock matches the latest snapshot exactly.
@@ -255,10 +247,10 @@ std::size_t StreamingEngine::run_reverify_once() {
     at = snap_;
   }
 
+  // The decomposition runs on this thread against the copy, outside
+  // flush_mu_, so flushes never wait on it.
   WallTimer timer;
-  DecomposeOptions dopts;
-  dopts.workers = workers;
-  const BulkDecomposition truth = parallel_decompose(*copy, team, dopts);
+  const Decomposition truth = bz_decompose(*copy);
   std::size_t mismatches = 0;
   const std::size_t n = std::min<std::size_t>(truth.core.size(),
                                               at->num_vertices());
@@ -316,7 +308,7 @@ std::uint64_t StreamingEngine::flush_locked() {
   // corruption in the same epoch.
   const bool repaired = repair_requested_.exchange(false);
   if (repaired) {
-    maintainer_.rebuild(std::max(1, opts_.workers));
+    maintainer_.rebuild();
     span.repair_us = timer.elapsed_us();
   }
   const std::uint64_t t_repair = timer.elapsed_us();
@@ -783,12 +775,6 @@ StreamingEngine::Options options_from_env(StreamingEngine::Options base) {
   base.reverify_interval_ms = std::max(
       env_double("PARCORE_SERVE_REVERIFY_MS", base.reverify_interval_ms),
       0.0);
-  // Cold start: > 0 runs the initial decomposition through the bulk
-  // parallel peel with this many workers (docs/CONFIG.md).
-  base.maintainer.init_workers = static_cast<int>(std::clamp(
-      env_int("PARCORE_DECOMPOSE_WORKERS",
-              static_cast<long>(base.maintainer.init_workers)),
-      0L, 1024L));
   // The index clamps to [64, 1M] and rounds up to a power of two.
   base.snapshot_page = static_cast<std::size_t>(std::max(
       env_int("PARCORE_ENGINE_SNAPSHOT_PAGE",

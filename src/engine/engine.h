@@ -82,15 +82,6 @@ struct EngineSnapshot {
   std::vector<VertexId> kcore_members(CoreValue k) const;
 };
 
-/// Cumulative counters since engine construction. `flush_us` /
-/// `batch_sizes` are merged across flushes; percentiles come from
-/// SizeHistogram::percentile.
-///
-/// Epoch/stats consistency: `epochs` is the epoch of the snapshot the
-/// stats describe, and a flush updates stats BEFORE swapping the new
-/// snapshot in. A reader that grabs `snapshot()` and then `stats()` is
-/// therefore guaranteed `stats().epochs >= snapshot()->epoch` — stats
-/// can run ahead of the snapshot it saw, never behind it.
 /// Outcome of one submit(), surfaced so callers can react to admission
 /// control (docs/ROBUSTNESS.md): with the kShed policy at cap the
 /// update was NOT enqueued and `accepted` is false — retry, back off,
@@ -102,6 +93,15 @@ struct SubmitResult {
   std::uint64_t blocked_us = 0;
 };
 
+/// Cumulative counters since engine construction. `flush_us` /
+/// `batch_sizes` are merged across flushes; percentiles come from
+/// SizeHistogram::percentile.
+///
+/// Epoch/stats consistency: `epochs` is the epoch of the snapshot the
+/// stats describe, and a flush updates stats BEFORE swapping the new
+/// snapshot in. A reader that grabs `snapshot()` and then `stats()` is
+/// therefore guaranteed `stats().epochs >= snapshot()->epoch` — stats
+/// can run ahead of the snapshot it saw, never behind it.
 struct EngineStats {
   std::uint64_t epochs = 0;  // epoch described by these stats
   std::uint64_t submitted = 0;
@@ -240,10 +240,10 @@ class StreamingEngine {
     /// to stderr every interval. 0 disables it.
     double report_interval_ms = 0.0;
     /// > 0 spawns a background re-verifier alongside the scheduler:
-    /// every interval it copies the graph at a flush boundary, runs a
-    /// full parallel exact decomposition off-thread (own ThreadTeam —
-    /// never contends with flush dispatch) and compares against the
-    /// live CoreView of the same epoch, reporting runs/mismatches/
+    /// every interval it copies the graph at a flush boundary, runs
+    /// bz_decompose on the copy on its own thread (flushes never wait
+    /// on it) and compares against the live CoreView of the same
+    /// epoch, reporting runs/mismatches/
     /// timing as parcore_verify_* through the metrics registry. 0
     /// disables it. (`serve --reverify MS` / PARCORE_SERVE_REVERIFY_MS.)
     double reverify_interval_ms = 0.0;

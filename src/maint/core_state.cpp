@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
-#include "decomp/parallel_peel.h"
 #include "decomp/verify.h"
 #include "sync/backoff.h"
 
@@ -62,90 +62,13 @@ void CoreState::allocate(std::size_t n) {
 }
 
 void CoreState::initialize(const DynamicGraph& g, const Options& opts) {
-  allocate(g.num_vertices());
-
+  // BZ's peel order defines the k-order the maintainers start from
+  // (Definition 3.5); it installs through the same path as a saved one.
   Decomposition d = bz_decompose(g);
-  max_core_.store(d.max_core, std::memory_order_relaxed);
-
-  levels_.clear();
-  levels_.configure(opts.om_group_capacity);
-  levels_.ensure_capacity(static_cast<std::size_t>(d.max_core) + 2);
-
-  std::vector<std::size_t> rank(n_);
-  for (std::size_t i = 0; i < d.peel_order.size(); ++i)
-    rank[d.peel_order[i]] = i;
-
-  for (VertexId v = 0; v < n_; ++v) {
-    core_[v].store(d.core[v], std::memory_order_relaxed);
-    t_[v].store(0, std::memory_order_relaxed);
-    s_[v].store(0, std::memory_order_relaxed);
-    items_[v].vertex = v;
-  }
-
-  // Build O_k lists by appending in peel order (core values along the
-  // peel order are non-decreasing, so each list receives its vertices in
-  // k-order).
-  for (VertexId v : d.peel_order) {
-    OrderList& list = levels_.get_or_create(d.core[v]);
-    list.insert_tail(&items_[v]);
-  }
-
-  // d+out(v) = # neighbours peeled after v; mcd(v) per Definition 3.8.
-  for (VertexId v = 0; v < n_; ++v) {
-    CoreValue out = 0, m = 0;
-    for (VertexId u : g.neighbors(v)) {
-      if (rank[u] > rank[v]) ++out;
-      if (d.core[u] >= d.core[v]) ++m;
-    }
-    dout_[v].store(out, std::memory_order_relaxed);
-    mcd_[v].store(m, std::memory_order_relaxed);
-  }
-}
-
-void CoreState::initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
-                                    int workers, const Options& opts) {
-  allocate(g.num_vertices());
-
-  DecomposeOptions dopts;
-  dopts.workers = workers;
-  BulkDecomposition d = parallel_decompose(g, team, dopts);
-  max_core_.store(d.max_core, std::memory_order_relaxed);
-
-  levels_.clear();
-  levels_.configure(opts.om_group_capacity);
-  levels_.ensure_capacity(static_cast<std::size_t>(d.max_core) + 2);
-
-  std::vector<std::size_t> rank(n_);
-  for (std::size_t i = 0; i < d.order.size(); ++i) rank[d.order[i]] = i;
-
-  parallel_for(team, workers, 0, n_, [&](std::size_t i) {
-    const auto v = static_cast<VertexId>(i);
-    core_[v].store(d.core[v], std::memory_order_relaxed);
-    t_[v].store(0, std::memory_order_relaxed);
-    s_[v].store(0, std::memory_order_relaxed);
-    items_[v].vertex = v;
-  });
-
-  // The O_k appends mutate shared OM groups; they stay sequential (the
-  // peel order is already level-ascending, so each list receives its
-  // vertices in k-order, exactly like the BZ path).
-  for (VertexId v : d.order) {
-    OrderList& list = levels_.get_or_create(d.core[v]);
-    list.insert_tail(&items_[v]);
-  }
-
-  // d+out / mcd are per-vertex reductions over read-only state; the
-  // O(m) pass is the second-largest cold-start cost after the peel.
-  parallel_for(team, workers, 0, n_, [&](std::size_t i) {
-    const auto v = static_cast<VertexId>(i);
-    CoreValue out = 0, m = 0;
-    for (VertexId u : g.neighbors(v)) {
-      if (rank[u] > rank[v]) ++out;
-      if (d.core[u] >= d.core[v]) ++m;
-    }
-    dout_[v].store(out, std::memory_order_relaxed);
-    mcd_[v].store(m, std::memory_order_relaxed);
-  });
+  SavedCoreOrder peeled{std::move(d.core), std::move(d.peel_order)};
+  std::string err;
+  if (!initialize_from_order(g, peeled, opts, &err))
+    throw std::logic_error("bz_decompose produced an invalid k-order: " + err);
 }
 
 bool CoreState::initialize_from_order(const DynamicGraph& g,
@@ -199,11 +122,10 @@ bool CoreState::initialize_from_order(const DynamicGraph& g,
     levels_.get_or_create(saved.core[v]).insert_tail(&items_[v]);
   }
 
-  // dout from the restored ranks, mcd from the restored cores — the same
-  // definitions initialize() computes from the peel order. The k-order
-  // bound dout <= core and the coreness lower bound mcd >= core must
-  // hold for any valid saved state; violating either means the file
-  // (though CRC-clean) does not describe this graph.
+  // dout from the order ranks, mcd from the cores. The k-order bound
+  // dout <= core and the coreness lower bound mcd >= core must hold for
+  // any valid saved state; violating either means the file (though
+  // CRC-clean) does not describe this graph.
   for (VertexId v = 0; v < n_; ++v) {
     CoreValue out = 0, m = 0;
     for (VertexId u : g.neighbors(v)) {

@@ -18,7 +18,6 @@
 #include "sync/annotations.h"
 #include "sync/mutex.h"
 #include "sync/spinlock.h"
-#include "sync/thread_team.h"
 
 namespace parcore {
 
@@ -83,18 +82,10 @@ class CoreState {
     std::uint32_t om_group_capacity = 64;
   };
 
+  /// Builds the state from bz_decompose's (core, peel order) pair via
+  /// initialize_from_order, so cold start and restore share one install.
   void initialize(const DynamicGraph& g, const Options& opts);
   void initialize(const DynamicGraph& g) { initialize(g, Options()); }
-
-  /// initialize(), but the cold-start decomposition runs multi-threaded
-  /// (decomp/parallel_peel.h, exact mode) and the dout/mcd rebuild is
-  /// parallelised over `team`. The parallel peel's (level, sub-round,
-  /// id) order is a valid k-order instance (DESIGN.md §12.2), so the
-  /// resulting state passes the same invariant suite as the BZ path —
-  /// it is just a different (deterministic) k-order pick. `workers` is
-  /// clamped to the team.
-  void initialize_parallel(const DynamicGraph& g, ThreadTeam& team,
-                           int workers, const Options& opts);
 
   /// Rebuilds the full state from a saved (core, k-order) pair instead
   /// of running bz_decompose: O_k lists are filled by appending in the

@@ -57,12 +57,6 @@ class ParallelOrderMaintainer {
     /// pointer is not retained); the image must match the graph or the
     /// constructor throws. rebuild() always re-decomposes from scratch.
     const SavedCoreOrder* restore = nullptr;
-    /// > 0: rebuild() (and the non-restore constructor) runs the bulk
-    /// parallel decomposition (decomp/parallel_peel.h, exact mode) with
-    /// this many workers instead of sequential BZ — the cold-start
-    /// path. 0 keeps the BZ peel. Both produce valid k-order instances;
-    /// they just pick different (deterministic) ones.
-    int init_workers = 0;
   };
 
   /// Mutates `g`; both `g` and `team` must outlive the maintainer.
@@ -72,12 +66,6 @@ class ParallelOrderMaintainer {
 
   /// (Re)initialises cores/k-order/dout/mcd from the current graph.
   void rebuild();
-
-  /// Same, but overriding Options::init_workers for this call: > 0
-  /// forces the bulk parallel decomposition with that many workers.
-  /// The engine's self-healing repair uses it so the rebuild runs on
-  /// the flush workers even when cold start was configured sequential.
-  void rebuild(int init_workers);
 
   /// OurI: inserts a batch with `workers` parallel workers.
   BatchResult insert_batch(std::span<const Edge> edges, int workers);
@@ -174,6 +162,8 @@ class ParallelOrderMaintainer {
 
   void repair_dout_after_removal(int workers);
   void collect_changed();
+  /// Clears the per-batch marks after the state is (re)installed.
+  void reset_marks();
 
   /// Locks a and b together (no hold-and-wait; Alg. 7/8 line 1) and
   /// returns with both held — unbalanced by design, hence exempt.

@@ -3,7 +3,7 @@
 //   DynamicGraph            mutable undirected graph
 //   generators / suite      synthetic workloads (ER, BA, R-MAT, grid,
 //                           temporal streams; Table-2 stand-ins)
-//   bz_decompose / parallel_decompose / truss_decompose
+//   bz_decompose / truss_decompose
 //                           static decompositions
 //   core_query              k-core extraction, subcores, degeneracy
 //   SeqOrderMaintainer      sequential Simplified-Order maintenance
@@ -22,7 +22,6 @@
 #include "baseline/je.h"
 #include "decomp/bz.h"
 #include "decomp/core_query.h"
-#include "decomp/parallel_peel.h"
 #include "decomp/truss.h"
 #include "decomp/verify.h"
 #include "engine/coalesce.h"

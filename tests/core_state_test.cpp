@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "decomp/bz.h"
 #include "gen/generators.h"
 #include "maint/core_state.h"
 #include "test_util.h"
@@ -61,6 +62,9 @@ TEST(CoreState, InitializeBuildsConsistentState) {
     std::string err;
     EXPECT_TRUE(st.check_invariants(g, &err, /*check_cores=*/true))
         << test::family_name(f) << ": " << err;
+    // The cold-start k-order is exactly BZ's peel order.
+    EXPECT_EQ(st.save_order().order, bz_decompose(g).peel_order)
+        << test::family_name(f);
   }
 }
 

@@ -627,6 +627,26 @@ TEST(Engine, SchedulerRunsRepairFlushWithoutNewSubmits) {
                            "background repair");
 }
 
+TEST(EngineReverify, BackgroundVerifierRunsCleanly) {
+  test::Workload w = test::make_workload(test::Family::kEr, 300, 0.2, 0xabc);
+  DynamicGraph g(w.n);
+  ThreadTeam team(4);
+  StreamingEngine::Options opts;
+  opts.reverify_interval_ms = 2.0;
+  StreamingEngine eng(g, team, opts);
+  eng.start();
+  for (const Edge& e : w.base) eng.submit_insert(e.u, e.v);
+  for (const Edge& e : w.batch) eng.submit_insert(e.u, e.v);
+  // Give the re-verifier a few intervals of runway over the live graph.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int spins = 0; eng.stats().verify_runs == 0 && spins < 5000; ++spins)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  eng.stop();
+  const engine::EngineStats stats = eng.stats();
+  EXPECT_GE(stats.verify_runs, 1u);
+  EXPECT_EQ(stats.verify_mismatches, 0u);
+}
+
 TEST(Histogram, PercentileBounds) {
   SizeHistogram h(100);
   for (std::size_t v = 1; v <= 100; ++v) h.record(v);

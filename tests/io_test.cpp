@@ -474,6 +474,11 @@ TEST(Cli, UsageErrors) {
                            "--plan"}),
             2);
   EXPECT_EQ(cli::cli_main({"recover", "--dir", "x", "--verify", "approx"}), 2);
+  EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--algo", "parallel"}),
+            2);
+  EXPECT_EQ(cli::cli_main({"decompose", "--input", toy, "--workers", "4"}), 2);
+  EXPECT_EQ(cli::cli_main({"recover", "--dir", "x", "--verify", "parallel"}),
+            2);
 }
 
 TEST(Cli, EverySubcommandRejectsUnknownOptionsWithExit2) {

@@ -349,76 +349,70 @@ TEST(Recovery, CleanShutdownRecoversWithNothingToReplay) {
   test::expect_cores_match(g, m->cores(), "clean shutdown");
 }
 
-// The verify oracle is pluggable (ISSUE 8): BZ and the parallel exact
-// peel must make the SAME accept/reject decision on every directory —
-// they compute the same core numbers, so step 4 sees the same diff.
-TEST(Recovery, VerifyAlgoParityOnCleanCheckpoint) {
-  const std::string dir = fresh_dir("verify-parity-clean");
-  CrashWorkload w = crash_workload();
-  {
-    DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
-    ThreadTeam team(2);
-    engine::StreamingEngine::Options opts;
-    opts.workers = 2;
-    opts.durability.dir = dir;
-    opts.durability.checkpoint_interval = 0;
-    engine::StreamingEngine eng(g, team, opts);
-    for (const std::vector<Edge>& batch : w.flushes) {
-      for (const Edge& e : batch) eng.submit_insert(e.u, e.v);
-      eng.flush_now();
-    }
-    eng.stop();
-  }
-
-  std::vector<CoreValue> first_cores;
-  const struct {
-    durability::VerifyAlgo algo;
-    const char* name;
-  } cases[] = {{durability::VerifyAlgo::kBz, "bz"},
-               {durability::VerifyAlgo::kParallel, "parallel"}};
-  for (const auto& c : cases) {
-    RecoveryOptions opts;
-    opts.dir = dir;
-    opts.workers = 2;
-    opts.verify_algo = c.algo;
-    DynamicGraph g(1);
-    ThreadTeam team(2);
-    RecoveryResult res;
-    auto m = durability::recover(opts, g, team, &res);
-    ASSERT_NE(m, nullptr) << c.name;
-    EXPECT_TRUE(res.verified) << c.name;
-    EXPECT_STREQ(res.verify_algo, c.name);
-    EXPECT_GE(res.verify_ms, 0.0);
-    if (first_cores.empty())
-      first_cores = m->cores();
-    else
-      EXPECT_EQ(m->cores(), first_cores) << c.name;
-  }
+// Step 4's oracle on its own: BZ must accept the true cores and count
+// every doctored entry, not merely reject.
+TEST(VerifyRecoveredCores, AcceptsCorrectCores) {
+  Rng rng(0xacce97);
+  auto g = DynamicGraph::from_edges(300, test::family_edges(test::Family::kEr,
+                                                            300, rng));
+  const durability::VerifyOutcome out =
+      durability::verify_recovered_cores(g, bz_decompose(g).core);
+  EXPECT_TRUE(out.passed) << out.first_mismatch;
+  EXPECT_EQ(out.mismatches, 0u);
 }
 
-TEST(Recovery, VerifyAlgoParityOnCorruptedCheckpoints) {
-  const std::string dir = fresh_dir("verify-parity-corrupt");
-  CrashWorkload w = crash_workload();
-  {
-    DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
-    ThreadTeam team(2);
-    engine::StreamingEngine::Options opts;
-    opts.workers = 2;
-    opts.durability.dir = dir;
-    opts.durability.checkpoint_interval = 0;
-    engine::StreamingEngine eng(g, team, opts);
-    for (const std::vector<Edge>& batch : w.flushes) {
-      for (const Edge& e : batch) eng.submit_insert(e.u, e.v);
-      eng.flush_now();
-    }
-    eng.stop();
-  }
+TEST(VerifyRecoveredCores, CountsEveryDoctoredCore) {
+  Rng rng(0x12e7ec7);
+  auto g = DynamicGraph::from_edges(300, test::family_edges(test::Family::kBa,
+                                                            300, rng));
+  std::vector<CoreValue> doctored = bz_decompose(g).core;
+  doctored[7] += 1;  // overclaim
+  doctored[42] = 0;  // underclaim
+  const durability::VerifyOutcome out =
+      durability::verify_recovered_cores(g, doctored);
+  EXPECT_FALSE(out.passed);
+  EXPECT_EQ(out.mismatches, 2u);
+  EXPECT_FALSE(out.first_mismatch.empty());
+}
 
-  // Trash the payload of every checkpoint generation. Recovery must
-  // fail closed — and it must be the SAME decision whichever verify
-  // oracle was requested (the failure precedes step 4 here; the
-  // doctored-core verify decision itself is unit-tested in
-  // bulk_decompose_test via verify_recovered_cores).
+// Writes a checkpointed engine run over crash_workload() into `dir`.
+void write_clean_run(const std::string& dir) {
+  CrashWorkload w = crash_workload();
+  DynamicGraph g = DynamicGraph::from_edges(w.n, w.base);
+  ThreadTeam team(2);
+  engine::StreamingEngine::Options opts;
+  opts.workers = 2;
+  opts.durability.dir = dir;
+  opts.durability.checkpoint_interval = 0;
+  engine::StreamingEngine eng(g, team, opts);
+  for (const std::vector<Edge>& batch : w.flushes) {
+    for (const Edge& e : batch) eng.submit_insert(e.u, e.v);
+    eng.flush_now();
+  }
+  eng.stop();
+}
+
+TEST(Recovery, VerifyPassesOnCleanCheckpoint) {
+  const std::string dir = fresh_dir("verify-clean");
+  write_clean_run(dir);
+  RecoveryOptions opts;
+  opts.dir = dir;
+  opts.workers = 2;
+  DynamicGraph g(1);
+  ThreadTeam team(2);
+  RecoveryResult res;
+  auto m = durability::recover(opts, g, team, &res);
+  ASSERT_NE(m, nullptr);
+  EXPECT_TRUE(res.verified);
+  EXPECT_GE(res.verify_ms, 0.0);
+  test::expect_cores_match(g, m->cores(), "clean checkpoint");
+}
+
+TEST(Recovery, CorruptedCheckpointsFailClosed) {
+  const std::string dir = fresh_dir("verify-corrupt");
+  write_clean_run(dir);
+  // Trash the payload of every checkpoint generation: with no loadable
+  // base image, recovery must throw rather than serve anything.
   for (const fs::directory_entry& ent : fs::directory_iterator(dir)) {
     const std::string name = ent.path().filename().string();
     if (name.rfind("checkpoint-", 0) != 0) continue;
@@ -429,17 +423,12 @@ TEST(Recovery, VerifyAlgoParityOnCorruptedCheckpoints) {
     const char junk[8] = {'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X'};
     f.write(junk, sizeof junk);
   }
-
-  for (auto algo :
-       {durability::VerifyAlgo::kBz, durability::VerifyAlgo::kParallel}) {
-    RecoveryOptions opts;
-    opts.dir = dir;
-    opts.workers = 2;
-    opts.verify_algo = algo;
-    DynamicGraph g(1);
-    ThreadTeam team(2);
-    EXPECT_THROW(durability::recover(opts, g, team), std::runtime_error);
-  }
+  RecoveryOptions opts;
+  opts.dir = dir;
+  opts.workers = 2;
+  DynamicGraph g(1);
+  ThreadTeam team(2);
+  EXPECT_THROW(durability::recover(opts, g, team), std::runtime_error);
 }
 
 TEST(Recovery, EmptyDirectoryFailsClosed) {

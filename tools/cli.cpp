@@ -18,7 +18,6 @@
 
 #include "decomp/bz.h"
 #include "decomp/core_query.h"
-#include "decomp/parallel_peel.h"
 #include "durability/recovery.h"
 #include "engine/engine.h"
 #include "gen/generators.h"
@@ -34,7 +33,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/env.h"
 #include "support/timer.h"
 
 #ifdef PARCORE_HAVE_ZLIB
@@ -68,7 +66,7 @@ constexpr const char* kGlobalUsage = R"(parcore_cli - core maintenance over real
 usage: parcore_cli <command> [options]
 
 commands:
-  decompose   static core decomposition of a dataset (BZ or parallel peel)
+  decompose   static core decomposition of a dataset (BZ)
   maintain    sliding-window batch maintenance (parallel/seq/traversal/je)
   serve       drive the streaming engine from a temporal update file
   bench       engine-throughput benchmark on a dataset (emits BENCH_*.json)
@@ -216,10 +214,6 @@ constexpr const char* kDecomposeUsage =
 Static core decomposition with a load/decompose time breakdown.
 
   --input FILE   dataset (edge list / .mtx / .pcg; docs/FORMATS.md)
-  --algo NAME    bz (sequential, default) or parallel (parallel exact
-                 peel, also derives a k-order)
-  --workers N    worker threads for parallel (default 8, or
-                 PARCORE_DECOMPOSE_WORKERS when set)
   --top K        print the K highest-coreness vertices (original ids)
   --histogram    print the core-value distribution
 )";
@@ -227,9 +221,6 @@ Static core decomposition with a load/decompose time breakdown.
 int cmd_decompose(const Args& args) {
   const std::string input = args.get("input");
   if (input.empty()) return usage_error(kDecomposeUsage, "--input is required");
-  const std::string algo = args.get("algo", "bz");
-  if (algo != "bz" && algo != "parallel")
-    return usage_error(kDecomposeUsage, "unknown --algo '" + algo + "'");
 
   WallTimer load_timer;
   io::GraphData data = io::read_graph(input);
@@ -237,26 +228,12 @@ int cmd_decompose(const Args& args) {
   print_load_summary(input, data, load_ms);
 
   DynamicGraph g = io::to_dynamic_graph(data);
-  const int workers = static_cast<int>(args.get_positive(
-      "workers", std::max(env_int("PARCORE_DECOMPOSE_WORKERS", 8), 1L)));
   WallTimer decomp_timer;
-  std::vector<CoreValue> cores;
-  std::string note;
-  if (algo == "parallel") {
-    ThreadTeam team(workers);
-    const BulkDecomposition bd =
-        parallel_decompose(g, team, DecomposeOptions{workers});
-    cores = bd.core;
-    note = " (" + std::to_string(workers) + " workers, " +
-           std::to_string(bd.rounds) + " rounds)";
-  } else {
-    cores = bz_decompose(g).core;
-  }
+  const std::vector<CoreValue> cores = bz_decompose(g).core;
   const double decomp_ms = decomp_timer.elapsed_ms();
 
   CoreSummary summary = summarize_cores(cores);
-  std::printf("%s decomposition: %.1f ms%s\n", algo.c_str(), decomp_ms,
-              note.c_str());
+  std::printf("bz decomposition: %.1f ms\n", decomp_ms);
   std::printf("max core = %d, degeneracy core size = %zu, avg degree = %.2f\n",
               summary.max_core, summary.degeneracy_core_size,
               g.average_degree());
@@ -613,12 +590,11 @@ is checked against a fresh bz_decompose unless --no-verify.
   --checkpoint-interval N  flushes between periodic checkpoints
                   (default 64; 0 = only the initial/shutdown ones)
   --reverify MS   background re-verifier: every MS milliseconds a spare
-                  thread recomputes the full decomposition (parallel
-                  exact peel) on a consistent graph copy and diffs it
-                  against the live snapshot; mismatches quarantine
-                  queries to the last verified epoch until the next
-                  flush repairs the state (docs/ROBUSTNESS.md); counted
-                  in parcore_verify_mismatches_total (0 = off;
+                  thread runs bz_decompose on a consistent graph copy
+                  and diffs it against the live snapshot; mismatches
+                  quarantine queries to the last verified epoch until
+                  the next flush repairs the state (docs/ROBUSTNESS.md);
+                  counted in parcore_verify_mismatches_total (0 = off;
                   PARCORE_SERVE_REVERIFY_MS sets the same knob)
   --ingest-cap N  bound the ingest buffer at N pending updates
                   (admission control, docs/ROBUSTNESS.md; 0 = unbounded,
@@ -970,18 +946,14 @@ constexpr const char* kRecoverUsage =
 Crash recovery (docs/DURABILITY.md): loads the newest valid checkpoint
 from a `serve --checkpoint-dir` directory, replays the WAL tail through
 the normal maintain path, and differentially verifies the recovered
-core numbers against a fresh decomposition of the replayed graph.
+core numbers against a fresh bz_decompose of the replayed graph.
 
   --dir DIR      checkpoint + WAL directory written by serve
-  --workers W    maintainer workers for the WAL replay, also used by the
-                 parallel verify oracles (default 4)
-  --verify MODE  verify oracle: parallel (exact peel, default), bz
-                 (sequential), or off. PARCORE_DECOMPOSE_MODE sets the
-                 default; --no-verify is shorthand for --verify off
+  --workers W    maintainer workers for the WAL replay (default 4)
   --no-verify    skip the cross-check entirely
 
-Exits 0 when recovery succeeds (and, unless the verify is off, the
-recovered cores match the oracle); 1 on unrecoverable corruption or a
+Exits 0 when recovery succeeds (and, unless --no-verify is given, the
+recovered cores match bz_decompose); 1 on unrecoverable corruption or a
 failed verification.
 )";
 
@@ -993,17 +965,6 @@ int cmd_recover(const Args& args) {
   ropts.dir = dir;
   ropts.workers = static_cast<int>(args.get_positive("workers", 4));
   ropts.verify = !args.has("no-verify");
-  const std::string verify_mode =
-      args.get("verify", env_str("PARCORE_DECOMPOSE_MODE", "parallel"));
-  if (verify_mode == "off")
-    ropts.verify = false;
-  else if (verify_mode == "bz")
-    ropts.verify_algo = durability::VerifyAlgo::kBz;
-  else if (verify_mode == "parallel")
-    ropts.verify_algo = durability::VerifyAlgo::kParallel;
-  else
-    return usage_error(kRecoverUsage,
-                       "unknown --verify mode '" + verify_mode + "'");
 
   WallTimer timer;
   DynamicGraph g;
@@ -1025,11 +986,11 @@ int cmd_recover(const Args& args) {
       res.num_vertices, res.num_edges, res.max_core,
       static_cast<unsigned long long>(res.final_epoch));
   if (res.verified)
-    std::printf("verified: recovered cores match a fresh %s decomposition "
+    std::printf("verified: recovered cores match a fresh bz_decompose "
                 "of the replayed graph (%.1f ms)\n",
-                res.verify_algo, res.verify_ms);
+                res.verify_ms);
   else
-    std::printf("verification skipped (--verify off)\n");
+    std::printf("verification skipped (--no-verify)\n");
   return 0;
 }
 
@@ -1142,7 +1103,7 @@ int cli_main(const std::vector<std::string>& args) {
   };
   static const std::vector<Command> commands{
       {"decompose", kDecomposeUsage,
-       {"input", "algo", "workers", "top"}, {"histogram"},
+       {"input", "top"}, {"histogram"},
        cmd_decompose},
       {"convert", kConvertUsage, {"input", "output"}, {}, cmd_convert},
       {"maintain", kMaintainUsage,
@@ -1153,7 +1114,7 @@ int cli_main(const std::vector<std::string>& args) {
         "trace-out", "checkpoint-dir", "checkpoint-interval", "reverify",
         "ingest-cap", "overload"},
        {"no-verify"}, cmd_serve},
-      {"recover", kRecoverUsage, {"dir", "workers", "verify"}, {"no-verify"},
+      {"recover", kRecoverUsage, {"dir", "workers"}, {"no-verify"},
        cmd_recover},
       {"bench", kBenchUsage, {"input", "name", "ops"}, {}, cmd_bench},
       {"stats", kStatsUsage, {"input", "live"}, {}, cmd_stats},

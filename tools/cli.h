@@ -2,7 +2,7 @@
 // replaces the per-bench ad-hoc setup code with subcommands over the
 // src/io readers:
 //
-//   decompose   static core decomposition of a dataset (BZ or parallel peel)
+//   decompose   static core decomposition of a dataset (BZ)
 //   maintain    sliding-window batch maintenance (parallel/seq/JE/...)
 //   serve       drive the StreamingEngine from a temporal update file
 //   bench       engine-throughput benchmark emitting BENCH_*.json

@@ -29,9 +29,6 @@ ROW_FIELDS = {
         "mode", "batch", "epochs", "publish_us_mean", "publish_us_p50",
         "publish_us_p99", "pages_cloned", "read_mqps",
     ],
-    "bulk_decompose": [
-        "workload", "algo", "workers", "decompose_ms", "max_core", "rounds",
-    ],
     "durability": [
         "mode", "producers", "workers", "seconds", "updates_per_sec",
         "epochs", "p99_flush_ms",
@@ -55,7 +52,7 @@ ROW_FIELDS = {
 # Same field triple for all.
 OVERHEAD_OBJECTS = ("obs_overhead", "wal_overhead", "admission_overhead")
 
-STRING_FIELDS = {"policy", "workload", "mode", "algo"}
+STRING_FIELDS = {"policy", "mode"}
 
 
 def fail(path, message):
